@@ -213,8 +213,8 @@ func (c *Coordinator) serveWorker(conn net.Conn) {
 		}
 	}
 	c.members = append(c.members, m)
+	c.publishGaugesLocked()
 	c.mu.Unlock()
-	c.publishGauges()
 	c.cfg.Logf("coordinator: worker %s registered (data %s)", m.name, m.dataAddr)
 
 	for {
@@ -234,12 +234,14 @@ func (c *Coordinator) serveWorker(conn net.Conn) {
 			break
 		}
 	}
+	c.mu.Lock()
 	m.mu.Lock()
 	m.alive = false
 	m.mu.Unlock()
+	c.publishGaugesLocked()
+	c.mu.Unlock()
 	close(m.dead)
 	conn.Close()
-	c.publishGauges()
 	c.cfg.Logf("coordinator: worker %s lost", m.name)
 }
 
@@ -294,18 +296,30 @@ func (c *Coordinator) Workers() []WorkerStatus {
 
 // publishGauges refreshes the server_workers_* gauges.
 func (c *Coordinator) publishGauges() {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.publishGaugesLocked()
+}
+
+// publishGaugesLocked refreshes the server_workers_* gauges; the caller
+// holds c.mu. A membership change publishes before it releases c.mu, so
+// whoever observes the change through the coordinator (Workers,
+// WaitForWorkers) also observes the gauges that reflect it.
+func (c *Coordinator) publishGaugesLocked() {
 	reg := c.cfg.Metrics
 	if reg == nil {
 		return
 	}
 	var alive, deadN, inflight int64
-	for _, ws := range c.Workers() {
-		if ws.Alive {
+	for _, m := range c.members {
+		m.mu.Lock()
+		if m.alive {
 			alive++
-			inflight += int64(ws.InFlight)
+			inflight += int64(m.inFlight)
 		} else {
 			deadN++
 		}
+		m.mu.Unlock()
 	}
 	reg.Gauge("server_workers_alive").Set(alive)
 	reg.Gauge("server_workers_dead").Set(deadN)

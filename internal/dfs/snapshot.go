@@ -2,6 +2,7 @@ package dfs
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"io"
@@ -75,6 +76,42 @@ func (fs *FS) WriteSnapshot(w io.Writer) error {
 	return bw.Flush()
 }
 
+// Length caps for ReadSnapshot: a length prefix above its cap is
+// rejected as corrupt. Names are DFS paths; records are encoded tuples
+// and relation rows, far below the record cap.
+const (
+	maxSnapshotName   = 1 << 12
+	maxSnapshotRecord = 1 << 26
+)
+
+// snapshotEagerBytes is the largest length ReadSnapshot allocates up
+// front; longer records grow with the bytes actually read, so a corrupt
+// prefix under the cap still cannot demand more memory than the input
+// holds.
+const snapshotEagerBytes = 1 << 16
+
+// readSnapshotBytes reads a length-prefixed field of n bytes, n ≤ limit.
+func readSnapshotBytes(r io.Reader, n, limit uint64) ([]byte, error) {
+	if n > limit {
+		return nil, fmt.Errorf("length %d exceeds the %d-byte limit", n, limit)
+	}
+	if n <= snapshotEagerBytes {
+		buf := make([]byte, n)
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return nil, err
+		}
+		return buf, nil
+	}
+	var buf bytes.Buffer
+	if _, err := io.CopyN(&buf, r, int64(n)); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
 // ReadSnapshot reconstructs a file system from a WriteSnapshot image.
 // Counters start at zero — the snapshot restores state, and only the
 // resumed run's own I/O should be charged to it.
@@ -97,8 +134,8 @@ func ReadSnapshot(r io.Reader, blockSize int64) (*FS, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dfs: snapshot file %d: %w", i, err)
 		}
-		nameBuf := make([]byte, nameLen)
-		if _, err := io.ReadFull(br, nameBuf); err != nil {
+		nameBuf, err := readSnapshotBytes(br, nameLen, maxSnapshotName)
+		if err != nil {
 			return nil, fmt.Errorf("dfs: snapshot file %d name: %w", i, err)
 		}
 		name := string(nameBuf)
@@ -106,14 +143,17 @@ func ReadSnapshot(r io.Reader, blockSize int64) (*FS, error) {
 		if err != nil {
 			return nil, fmt.Errorf("dfs: snapshot %q record count: %w", name, err)
 		}
-		f := &file{records: make([][]byte, 0, nRecs)}
+		// The count only bounds the loop: records are appended as they
+		// arrive, so a corrupt count fails at end of input instead of
+		// sizing an allocation.
+		f := &file{}
 		for j := uint64(0); j < nRecs; j++ {
 			recLen, err := binary.ReadUvarint(br)
 			if err != nil {
 				return nil, fmt.Errorf("dfs: snapshot %q record %d: %w", name, j, err)
 			}
-			rec := make([]byte, recLen)
-			if _, err := io.ReadFull(br, rec); err != nil {
+			rec, err := readSnapshotBytes(br, recLen, maxSnapshotRecord)
+			if err != nil {
 				return nil, fmt.Errorf("dfs: snapshot %q record %d: %w", name, j, err)
 			}
 			f.records = append(f.records, rec)

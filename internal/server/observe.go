@@ -10,6 +10,7 @@ import (
 	"mwsjoin/internal/cluster"
 	"mwsjoin/internal/metrics"
 	"mwsjoin/internal/profile"
+	"mwsjoin/internal/spatial"
 	"mwsjoin/internal/trace"
 )
 
@@ -192,13 +193,16 @@ func errNoProfileFor(j *Job) error {
 
 // appendLedger records a completed job's predicted-vs-actual costs into
 // the calibration ledger and, when calibration is on, refreshes the
-// learned correction factors. Called outside the server mutex: ledger
-// appends are real file I/O.
-func (s *Server) appendLedger(j *Job) {
-	if s.ledger == nil || j.rawPred == nil || j.res == nil {
+// learned correction factors. Called outside the server mutex — ledger
+// appends are real file I/O — and before the job turns terminal, so a
+// client that sees the job done also finds its ledger entry. res is the
+// job's successful result; j.queryTxt and j.rawPred are immutable after
+// submission.
+func (s *Server) appendLedger(j *Job, res *spatial.Result) {
+	if s.ledger == nil || j.rawPred == nil {
 		return
 	}
-	entry := profile.NewLedgerEntry(j.queryTxt, j.rawPred, &j.res.Stats)
+	entry := profile.NewLedgerEntry(j.queryTxt, j.rawPred, &res.Stats)
 	if err := s.ledger.Append(entry); err != nil {
 		s.reg.Counter("server_calibration_ledger_errors_total").Add(1)
 		return

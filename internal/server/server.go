@@ -794,6 +794,9 @@ func (s *Server) runJob(j *Job) {
 	if err == nil && s.cfg.Cluster == nil {
 		prof = profile.Build(j.queryTxt, &res.Stats, j.tracer.Spans())
 	}
+	if err == nil {
+		s.appendLedger(j, res)
+	}
 
 	s.mu.Lock()
 	s.inFlight -= j.cost
@@ -820,12 +823,6 @@ func (s *Server) runJob(j *Job) {
 	close(j.done)
 	s.cond.Broadcast()
 	s.mu.Unlock()
-
-	// Ledger append is real file I/O — after the mutex is released. The
-	// job is terminal, so the fields read here are settled.
-	if err == nil {
-		s.appendLedger(j)
-	}
 }
 
 // jobQueue is the admission priority queue: higher priority first, then

@@ -1,9 +1,7 @@
 package spatial
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
 	"sync/atomic"
 	"time"
 
@@ -111,21 +109,18 @@ func cascade(pl *plan, exec *executor) (*Result, error) {
 			if err != nil {
 				return nil, nil, err
 			}
-			// Sort each relation by sweep order once per round: the
+			// Order both inputs by sweep order once per round: the
 			// engine's shuffle preserves input order within a key, so
 			// every cell's tuples and items arrive at the reducer already
 			// ascending by MinX and the plane sweep needs no per-cell
-			// re-sort (sweep.JoinSorted). Stable sorts keep equal-MinX
-			// records in input order, which makes the per-cell order
-			// identical to what sweep.Join's (MinX, arrival index) sort
-			// produced — emitted pairs, and therefore all stats, are
-			// unchanged.
-			slices.SortStableFunc(current, func(a, b partial) int {
-				return cmp.Compare(a.Rects[keyPos].MinX(), b.Rects[keyPos].MinX())
-			})
-			slices.SortStableFunc(items, func(a, b tagged) int {
-				return cmp.Compare(a.Rect.MinX(), b.Rect.MinX())
-			})
+			// re-sort (sweep.JoinSorted). The order is (MinX, input
+			// index): ties keep their input order, so each cell receives
+			// its records in exactly the (MinX, arrival index) order
+			// sweep.Join's own sort produced, and emitted pairs — and
+			// therefore all stats and checkpoint bytes — are unchanged.
+			// orderByMinX computes it in linear time from extracted keys.
+			orderByMinX(current, func(t *partial) float64 { return t.Rects[keyPos].MinX() })
+			orderByMinX(items, func(it *tagged) float64 { return it.Rect.MinX() })
 			input := make([]cascadeRecord, 0, len(current)+len(items))
 			for _, t := range current {
 				input = append(input, cascadeRecord{isTuple: true, tuple: t})

@@ -145,6 +145,11 @@ go test -run='^$' -fuzz=FuzzKeyRanker -fuzztime=5s ./internal/mapreduce
 echo "== fuzz (FuzzRTreeProbe, 5s) =="
 go test -run='^$' -fuzz=FuzzRTreeProbe -fuzztime=5s ./internal/index
 
+echo "== fuzz (FuzzReadRelation, 5s) =="
+# Differential: the byte-level, chunk-parallel relation reader against
+# the bufio.Scanner reader it replaced (kept in the test file).
+go test -run='^$' -fuzz=FuzzReadRelation -fuzztime=5s ./internal/dataset
+
 echo "== shuffle pipeline bench smoke (1 iteration per benchmark) =="
 go test -run='^$' -bench . -benchtime=1x ./internal/mapreduce
 
