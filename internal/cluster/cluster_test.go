@@ -40,25 +40,36 @@ func startTestCluster(t *testing.T, n int, mut func(i int, wc *WorkerConfig)) *t
 		coord.Close()
 	})
 	for i := 0; i < n; i++ {
-		wc := WorkerConfig{
-			Coordinator:       coord.Addr(),
-			Name:              []string{"w0", "w1", "w2", "w3", "w4"}[i],
-			HeartbeatInterval: 100 * time.Millisecond,
-			Logf:              t.Logf,
-		}
-		if mut != nil {
-			mut(i, &wc)
-		}
-		w, err := StartWorker(wc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.workers = append(tc.workers, w)
+		tc.addWorker(t, []string{"w0", "w1", "w2", "w3", "w4"}[i], func(wc *WorkerConfig) {
+			if mut != nil {
+				mut(i, wc)
+			}
+		})
 	}
 	if err := coord.WaitForWorkers(n, 5*time.Second); err != nil {
 		t.Fatal(err)
 	}
 	return tc
+}
+
+// addWorker starts one more in-process worker; the caller waits for
+// its registration.
+func (tc *testCluster) addWorker(t *testing.T, name string, mut func(wc *WorkerConfig)) {
+	t.Helper()
+	wc := WorkerConfig{
+		Coordinator:       tc.coord.Addr(),
+		Name:              name,
+		HeartbeatInterval: 100 * time.Millisecond,
+		Logf:              t.Logf,
+	}
+	if mut != nil {
+		mut(&wc)
+	}
+	w, err := StartWorker(wc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tc.workers = append(tc.workers, w)
 }
 
 func testRelations(seed uint64, nRel, n int) []spatial.Relation {

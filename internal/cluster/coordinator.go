@@ -28,7 +28,8 @@ type CoordinatorConfig struct {
 	// MaxAttempts bounds the run/recover cycle per session (default 3:
 	// the initial attempt plus two recoveries).
 	MaxAttempts int
-	// Metrics receives the server_workers_* gauges. May be nil.
+	// Metrics receives the server_workers_* gauges and the
+	// cluster_relation_* counters. May be nil.
 	Metrics *metrics.Registry
 	// Logf receives coordinator lifecycle logs. May be nil.
 	Logf func(format string, args ...any)
@@ -76,6 +77,11 @@ type member struct {
 	conn     net.Conn
 	enc      *json.Encoder
 	encMu    sync.Mutex
+
+	// held is the set of relation hashes sent in the member's last
+	// start, which the worker keeps; nil after a failed attempt. Only
+	// Run touches it, under runMu.
+	held map[string]bool
 
 	mu       sync.Mutex
 	lastBeat time.Time
@@ -374,6 +380,13 @@ func (c *Coordinator) Run(spec SessionSpec) (*RunResult, error) {
 		}
 		spec.Resume = attempt > 0
 		res, failure, err := c.runAttempt(session, attempt, &spec, roster)
+		if res == nil {
+			// A failed attempt leaves what each worker holds in doubt;
+			// the next start ships every relation again.
+			for _, m := range roster {
+				m.held = nil
+			}
+		}
 		if err != nil {
 			return nil, err
 		}
@@ -413,8 +426,7 @@ func (c *Coordinator) runAttempt(session string, attempt int, spec *SessionSpec,
 		m.mu.Lock()
 		m.inFlight++
 		m.mu.Unlock()
-		err := m.send(message{Type: msgStart, Session: session, Attempt: attempt, Self: i, Roster: dataAddrs, Spec: spec})
-		if err != nil {
+		if err := c.sendStart(m, message{Type: msgStart, Session: session, Attempt: attempt, Self: i, Roster: dataAddrs}, spec); err != nil {
 			m.conn.Close() // send failure == death; reader will mark it
 		}
 	}
@@ -486,11 +498,41 @@ func (c *Coordinator) runAttempt(session string, attempt int, spec *SessionSpec,
 	if err := json.Unmarshal(outcomes[0].msg.Stats, &res.Stats); err != nil {
 		return nil, "", fmt.Errorf("cluster: session %s: bad stats from worker %s: %w", session, roster[0].name, err)
 	}
-	res.Tuples = make([]spatial.Tuple, len(outcomes[0].msg.Tuples))
-	for i, ids := range outcomes[0].msg.Tuples {
-		res.Tuples[i] = spatial.Tuple{IDs: ids}
+	tuples, err := unpackTuples(outcomes[0].msg.Result)
+	if err != nil {
+		return nil, "", fmt.Errorf("cluster: session %s: bad result from worker %s: %w", session, roster[0].name, err)
 	}
+	res.Tuples = tuples
 	return res, "", nil
+}
+
+// sendStart sends a start carrying spec to m, naming by hash alone
+// every relation m kept from its last start, and records what m holds
+// now.
+func (c *Coordinator) sendStart(m *member, msg message, spec *SessionSpec) error {
+	own := *spec
+	own.Relations = make([]RelationData, len(spec.Relations))
+	held := make(map[string]bool, len(spec.Relations))
+	var shipped, hits int64
+	for i, rd := range spec.Relations {
+		if m.held[rd.Hash] {
+			rd.Items = nil
+			hits++
+		} else {
+			shipped += int64(len(rd.Items))
+		}
+		own.Relations[i] = rd
+		held[rd.Hash] = true
+	}
+	msg.Spec = &own
+	m.held = nil
+	if err := m.send(msg); err != nil {
+		return err
+	}
+	m.held = held
+	c.cfg.Metrics.Counter("cluster_relation_bytes_shipped_total").Add(shipped)
+	c.cfg.Metrics.Counter("cluster_relation_cache_hits_total").Add(hits)
+	return nil
 }
 
 // request sends one control message and awaits the reply of the given

@@ -5,7 +5,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net"
+	"slices"
 	"sync"
 	"time"
 )
@@ -65,9 +67,8 @@ func (mc *meshConn) readLoop() {
 			return
 		}
 		seq := binary.LittleEndian.Uint64(hdr[:8])
-		n := binary.LittleEndian.Uint32(hdr[8:])
-		payload := make([]byte, n)
-		if _, err := io.ReadFull(mc.c, payload); err != nil {
+		payload, err := readPayload(mc.c, int(binary.LittleEndian.Uint32(hdr[8:])))
+		if err != nil {
 			mc.fail(err)
 			return
 		}
@@ -76,6 +77,28 @@ func (mc *meshConn) readLoop() {
 		mc.mu.Unlock()
 		mc.kick()
 	}
+}
+
+// meshEagerBytes is the largest frame payload read into a buffer of
+// the claimed size up front. A longer payload's buffer grows as its
+// bytes arrive, so a length header the peer never backs with data
+// cannot size an allocation.
+const meshEagerBytes = 1 << 16
+
+// readPayload reads one n-byte frame payload.
+func readPayload(r io.Reader, n int) ([]byte, error) {
+	buf := make([]byte, 0, min(n, meshEagerBytes))
+	for len(buf) < n {
+		if len(buf) == cap(buf) {
+			buf = slices.Grow(buf, min(len(buf), n-len(buf)))
+		}
+		k, err := io.ReadFull(r, buf[len(buf):min(cap(buf), n)])
+		buf = buf[:len(buf)+k]
+		if err != nil {
+			return nil, err
+		}
+	}
+	return buf, nil
 }
 
 func (mc *meshConn) fail(err error) {
@@ -96,6 +119,9 @@ func (mc *meshConn) kick() {
 
 // send writes one frame; safe for concurrent use.
 func (mc *meshConn) send(seq uint64, payload []byte) error {
+	if uint64(len(payload)) > math.MaxUint32 {
+		return fmt.Errorf("cluster: mesh frame of %d bytes exceeds the 4 GiB frame limit", len(payload))
+	}
 	var hdr [12]byte
 	binary.LittleEndian.PutUint64(hdr[:8], seq)
 	binary.LittleEndian.PutUint32(hdr[8:], uint32(len(payload)))

@@ -7,15 +7,24 @@
 // session placement, and recovery.
 //
 // The design is deliberately symmetric: every worker runs the same
-// deterministic spatial.Execute over the same staged inputs, so the
-// only bytes that must cross the wire are the shuffle runs (data
-// plane, see mesh.go) and the small control messages (this file).
-// Every worker therefore finishes each session holding the complete,
-// bit-identical result — the single-worker case degenerates to the
-// unmodified in-process engine, and any existing equivalence battery
-// doubles as a distributed-correctness oracle. Cross-worker agreement
-// is enforced with a result hash (sha-256 over the canonical tuple
-// keys) that the coordinator compares across the roster.
+// deterministic spatial.Execute over the same staged inputs, and every
+// worker finishes each session holding the complete, bit-identical
+// result — the single-worker case degenerates to the unmodified
+// in-process engine, and any existing equivalence battery doubles as a
+// distributed-correctness oracle. Cross-worker agreement is enforced
+// with a result hash (sha-256 over the canonical tuple keys) that the
+// coordinator compares across the roster.
+//
+// Four kinds of traffic cross the wire. On the data plane (mesh.go):
+// the shuffle runs, and the all-gather of every job's output that
+// keeps the replicas converged — the larger of the two. On the control
+// plane (this file): the relations a session reads, and worker 0's
+// result. Relations travel only when a worker lacks them: each worker
+// keeps the relations of its last start, keyed by the sha-256 of their
+// packed items, the coordinator remembers which hashes it sent each
+// worker, and a relation the worker already holds is named by hash
+// alone. The result travels packed (see packTuples), not as JSON
+// numbers.
 //
 // Recovery: the coordinator detects worker death via heartbeats and
 // dead control connections. Survivors of a failed attempt fail fast
@@ -25,11 +34,14 @@
 // synchronised checkpoints across the surviving roster (a straggler
 // that crashed mid-job may hold fewer checkpoints than its peers; the
 // chain prefix must agree before a resumed run can proceed in
-// lockstep).
+// lockstep). A failed attempt also makes the coordinator forget what
+// every roster member holds, so the retry ships the relations again.
 package cluster
 
 import (
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"math"
 
@@ -44,7 +56,7 @@ const (
 	// worker → coordinator
 	msgRegister  = "register"  // Name, DataAddr
 	msgHeartbeat = "heartbeat" //
-	msgResult    = "result"    // Session, Attempt, OK, Error, Hash, Stats, Tuples (self 0)
+	msgResult    = "result"    // Session, Attempt, OK, Error, Hash, Stats, Result (self 0)
 	msgChkList   = "chk_list"  // Session, Files
 	msgChkData   = "chk_data"  // Session, File, Records
 	msgChkOK     = "chk_ok"    // Session
@@ -69,11 +81,12 @@ type message struct {
 	Roster  []string     `json:"roster,omitempty"`
 	Spec    *SessionSpec `json:"spec,omitempty"`
 
-	OK     bool      `json:"ok,omitempty"`
-	Error  string    `json:"error,omitempty"`
-	Hash   string    `json:"hash,omitempty"`
-	Stats  []byte    `json:"stats,omitempty"`
-	Tuples [][]int32 `json:"tuples,omitempty"`
+	OK    bool   `json:"ok,omitempty"`
+	Error string `json:"error,omitempty"`
+	Hash  string `json:"hash,omitempty"`
+	Stats []byte `json:"stats,omitempty"`
+	// Result is worker 0's tuple set in packTuples form.
+	Result []byte `json:"result,omitempty"`
 
 	Files   []string `json:"files,omitempty"`
 	File    string   `json:"file,omitempty"`
@@ -108,10 +121,13 @@ type SessionSpec struct {
 
 // RelationData is one relation of a spec, packed as 36-byte binary
 // items (id + rect) so relation shipping does not balloon the JSON
-// control plane.
+// control plane. Hash is the hex sha-256 of Items. A start names a
+// relation its worker already holds by Name and Hash alone, with Items
+// left empty.
 type RelationData struct {
 	Name  string `json:"name"`
-	Items []byte `json:"items"`
+	Hash  string `json:"hash"`
+	Items []byte `json:"items,omitempty"`
 }
 
 // itemBytes is the packed size of one relation item: id(4) + 4 float64
@@ -130,7 +146,13 @@ func PackRelation(rel spatial.Relation) RelationData {
 		binary.LittleEndian.PutUint64(buf[off+28:], math.Float64bits(it.R.B))
 		off += itemBytes
 	}
-	return RelationData{Name: rel.Name, Items: buf}
+	return RelationData{Name: rel.Name, Hash: itemsHash(buf), Items: buf}
+}
+
+// itemsHash is the content hash of packed relation items.
+func itemsHash(items []byte) string {
+	sum := sha256.Sum256(items)
+	return hex.EncodeToString(sum[:])
 }
 
 // UnpackRelation parses a RelationData back into a relation.
@@ -175,4 +197,54 @@ func SpecFromConfig(method spatial.Method, queryText string, rels []spatial.Rela
 		spec.Relations = append(spec.Relations, PackRelation(rel))
 	}
 	return spec
+}
+
+// packTuples renders a result for the wire: the uvarint arity every
+// tuple shares, then each tuple's IDs as little-endian int32s.
+func packTuples(tuples []spatial.Tuple) ([]byte, error) {
+	arity := 0
+	if len(tuples) > 0 {
+		arity = len(tuples[0].IDs)
+		if arity == 0 {
+			return nil, fmt.Errorf("cluster: cannot pack tuples without IDs")
+		}
+	}
+	buf := make([]byte, 0, binary.MaxVarintLen64+4*arity*len(tuples))
+	buf = binary.AppendUvarint(buf, uint64(arity))
+	for i, t := range tuples {
+		if len(t.IDs) != arity {
+			return nil, fmt.Errorf("cluster: tuple %d has %d IDs, tuple 0 has %d", i, len(t.IDs), arity)
+		}
+		for _, id := range t.IDs {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(id))
+		}
+	}
+	return buf, nil
+}
+
+// unpackTuples parses packTuples output. The tuple count follows from
+// the payload's length, so no allocation exceeds a small multiple of
+// the bytes actually received.
+func unpackTuples(b []byte) ([]spatial.Tuple, error) {
+	arity, n := binary.Uvarint(b)
+	if n <= 0 {
+		return nil, fmt.Errorf("cluster: packed result has a bad arity header")
+	}
+	body := b[n:]
+	switch {
+	case len(body) == 0:
+		return []spatial.Tuple{}, nil
+	case arity == 0 || arity > uint64(len(body))/4 || uint64(len(body))%(4*arity) != 0:
+		return nil, fmt.Errorf("cluster: packed result of %d ID bytes does not split into tuples of arity %d", len(body), arity)
+	}
+	ids := make([]int32, len(body)/4)
+	for i := range ids {
+		ids[i] = int32(binary.LittleEndian.Uint32(body[4*i:]))
+	}
+	k := int(arity)
+	tuples := make([]spatial.Tuple, len(ids)/k)
+	for i := range tuples {
+		tuples[i] = spatial.Tuple{IDs: ids[i*k : (i+1)*k : (i+1)*k]}
+	}
+	return tuples, nil
 }

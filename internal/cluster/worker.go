@@ -74,6 +74,11 @@ type Worker struct {
 	mu       sync.Mutex
 	sessions map[string]*workerSession
 	closed   bool
+	// held is the worker's relation cache: exactly the relations of its
+	// last start, keyed by the hash of their packed items. Guarded by
+	// mu; only the control loop writes it. Sessions share the cached
+	// items, which the engine only reads.
+	held map[string][]spatial.Item
 
 	done     chan struct{}
 	ctrlDone chan struct{}
@@ -220,7 +225,8 @@ func (w *Worker) controlLoop() {
 		}
 		switch m.Type {
 		case msgStart:
-			go w.runSession(m)
+			rels, err := w.resolveRelations(m.Spec)
+			go w.runSession(m, rels, err)
 		case msgListChk:
 			w.handleListChk(m)
 		case msgFetchChk:
@@ -250,10 +256,55 @@ func (w *Worker) session(id string) *workerSession {
 	return s
 }
 
-// runSession executes one session attempt and reports the result.
-func (w *Worker) runSession(m message) {
-	res, err := w.executeAttempt(m)
+// resolveRelations turns a start's relations into engine inputs: a
+// relation named by hash alone comes from the cache, shipped items
+// must match their declared hash. The cache then holds exactly this
+// start's relations — nothing if resolution failed.
+func (w *Worker) resolveRelations(spec *SessionSpec) ([]spatial.Relation, error) {
+	w.mu.Lock()
+	prev := w.held
+	w.held = nil
+	w.mu.Unlock()
+	if spec == nil {
+		return nil, fmt.Errorf("cluster: start without a spec")
+	}
+	rels := make([]spatial.Relation, len(spec.Relations))
+	next := make(map[string][]spatial.Item, len(spec.Relations))
+	for i, rd := range spec.Relations {
+		if items, ok := prev[rd.Hash]; ok && len(rd.Items) == 0 {
+			rels[i] = spatial.Relation{Name: rd.Name, Items: items}
+		} else {
+			if got := itemsHash(rd.Items); got != rd.Hash {
+				if len(rd.Items) == 0 {
+					return nil, fmt.Errorf("cluster: relation %q: worker %s does not hold hash %q and no items were shipped", rd.Name, w.cfg.Name, rd.Hash)
+				}
+				return nil, fmt.Errorf("cluster: relation %q: shipped items hash to %s, start declares %q", rd.Name, got, rd.Hash)
+			}
+			rel, err := UnpackRelation(rd)
+			if err != nil {
+				return nil, err
+			}
+			rels[i] = rel
+		}
+		next[rd.Hash] = rels[i].Items
+	}
+	w.mu.Lock()
+	w.held = next
+	w.mu.Unlock()
+	return rels, nil
+}
+
+// runSession executes one session attempt on the resolved relations
+// (or reports why they could not be resolved) and sends the result.
+func (w *Worker) runSession(m message, rels []spatial.Relation, err error) {
+	var res *spatial.Result
+	if err == nil {
+		res, err = w.executeAttempt(m, rels)
+	}
 	out := message{Type: msgResult, Session: m.Session, Attempt: m.Attempt}
+	if err == nil && m.Self == 0 {
+		out.Result, err = packTuples(res.Tuples)
+	}
 	if err != nil {
 		out.Error = err.Error()
 		w.cfg.Logf("worker %s: session %s attempt %d failed: %v", w.cfg.Name, m.Session, m.Attempt, err)
@@ -262,12 +313,6 @@ func (w *Worker) runSession(m message) {
 		out.Hash = hashTuples(res.Tuples)
 		if stats, merr := json.Marshal(res.Stats); merr == nil {
 			out.Stats = stats
-		}
-		if m.Self == 0 {
-			out.Tuples = make([][]int32, len(res.Tuples))
-			for i, t := range res.Tuples {
-				out.Tuples[i] = t.IDs
-			}
 		}
 		w.cfg.Logf("worker %s: session %s attempt %d done (%d tuples, hash %s)",
 			w.cfg.Name, m.Session, m.Attempt, len(res.Tuples), out.Hash[:8])
@@ -278,10 +323,7 @@ func (w *Worker) runSession(m message) {
 }
 
 // executeAttempt runs the spec on this worker's share of the roster.
-func (w *Worker) executeAttempt(m message) (*spatial.Result, error) {
-	if m.Spec == nil {
-		return nil, fmt.Errorf("cluster: start without a spec")
-	}
+func (w *Worker) executeAttempt(m message, rels []spatial.Relation) (*spatial.Result, error) {
 	spec := *m.Spec
 	method, err := spatial.ParseMethod(spec.Method)
 	if err != nil {
@@ -294,12 +336,6 @@ func (w *Worker) executeAttempt(m message) (*spatial.Result, error) {
 	scheme, err := spatial.ParsePartitionScheme(spec.Scheme)
 	if err != nil {
 		return nil, err
-	}
-	rels := make([]spatial.Relation, len(spec.Relations))
-	for i, rd := range spec.Relations {
-		if rels[i], err = UnpackRelation(rd); err != nil {
-			return nil, err
-		}
 	}
 
 	s := w.session(m.Session)

@@ -3,8 +3,10 @@ package server
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -119,5 +121,66 @@ func TestServerClusterDispatch(t *testing.T) {
 	hPlain.ServeHTTP(rec, httptest.NewRequest("GET", "/v1/workers", nil))
 	if rec.Code != 404 {
 		t.Errorf("GET /v1/workers without cluster = %d", rec.Code)
+	}
+}
+
+// TestServerClusterRelationCache submits two different queries over
+// the same registered relations to a 2-worker cluster: the relations
+// travel once, and the daemon's /metrics shows the second query's
+// cache hits.
+func TestServerClusterRelationCache(t *testing.T) {
+	const workers = 2
+	first := SubmitRequest{Query: "A ov B and B ra(40) C", Method: "c-rep"}
+	second := SubmitRequest{Query: "A ov B and B ov C", Method: "2-way-cascade"}
+
+	plain, _ := newTestServer(t, Config{Workers: 1, CacheBytes: -1})
+	want := waitJob(t, plain, submit(t, plain, second).ID)
+	wantPage, err := plain.Result(want.ID, 0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	reg := metrics.NewRegistry()
+	coord := startTestCoordinator(t, workers, reg)
+	s, _ := newTestServer(t, Config{Workers: 1, CacheBytes: -1, Cluster: coord, Metrics: reg})
+	shipped := reg.Counter("cluster_relation_bytes_shipped_total")
+	hits := reg.Counter("cluster_relation_cache_hits_total")
+
+	if got := waitJob(t, s, submit(t, s, first).ID); got.State != StateDone {
+		t.Fatalf("first cluster job: %+v (err %s)", got, got.Error)
+	}
+	var relBytes int64
+	for _, rel := range testRelations(1)[:3] {
+		relBytes += int64(len(cluster.PackRelation(rel).Items))
+	}
+	if shipped.Value() != workers*relBytes || hits.Value() != 0 {
+		t.Fatalf("first query shipped %d bytes with %d cache hits, want %d with 0", shipped.Value(), hits.Value(), workers*relBytes)
+	}
+
+	got := waitJob(t, s, submit(t, s, second).ID)
+	if got.State != StateDone {
+		t.Fatalf("second cluster job: %+v (err %s)", got, got.Error)
+	}
+	gotPage, err := s.Result(got.ID, 0, 1<<20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(gotPage.Tuples, wantPage.Tuples) {
+		t.Errorf("cluster tuples diverge from in-process (%d vs %d)", len(gotPage.Tuples), len(wantPage.Tuples))
+	}
+	if shipped.Value() != workers*relBytes || hits.Value() != workers*3 {
+		t.Errorf("after the second query: %d bytes shipped with %d cache hits, want %d with %d", shipped.Value(), hits.Value(), workers*relBytes, workers*3)
+	}
+
+	rec := httptest.NewRecorder()
+	NewHandler(s, reg).ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	body := rec.Body.String()
+	for _, line := range []string{
+		fmt.Sprintf("cluster_relation_bytes_shipped_total %d\n", workers*relBytes),
+		fmt.Sprintf("cluster_relation_cache_hits_total %d\n", workers*3),
+	} {
+		if !strings.Contains(body, line) {
+			t.Errorf("/metrics lacks %q", line)
+		}
 	}
 }

@@ -118,13 +118,14 @@ echo "== distributed runtime under -race (SPMD equivalence, network shuffle, rec
 # reconciliation with network bytes in their own Stats family), the
 # cluster package over real loopback TCP (mesh shuffle, heartbeat
 # death detection, checkpoint sync + re-execution, roster hash
-# cross-check), the server dispatch path, and the BufferPool misuse
+# cross-check, the per-worker relation cache and its re-shipping after
+# failures), the server dispatch path, and the BufferPool misuse
 # battery; -count=1 defeats the cache so the race detector
 # re-exercises the exchange/rendezvous goroutines every run.
 go test -race -count=1 -run 'TestDist|TestPoolDoublePut|TestPoolCrossJobReuse' ./internal/mapreduce
 go test -race -count=1 -run 'TestDistributed' ./internal/spatial
 go test -race -count=1 ./internal/cluster
-go test -race -count=1 -run 'TestServerClusterDispatch' ./internal/server
+go test -race -count=1 -run 'TestServerClusterDispatch|TestServerClusterRelationCache' ./internal/server
 
 echo "== cluster e2e under -race (daemon coordinator + 3 real worker processes, SIGKILL mid-round) =="
 # Boots mwsjoind -cluster-listen plus three mwsjworker OS processes on
@@ -149,6 +150,15 @@ echo "== fuzz (FuzzReadRelation, 5s) =="
 # Differential: the byte-level, chunk-parallel relation reader against
 # the bufio.Scanner reader it replaced (kept in the test file).
 go test -run='^$' -fuzz=FuzzReadRelation -fuzztime=5s ./internal/dataset
+
+echo "== fuzz (FuzzUnpackTuples, 5s) =="
+# Worker 0's packed result: arbitrary bytes decode or fail without a
+# panic or an allocation beyond their own size, and the packer
+# round-trips.
+go test -run='^$' -fuzz=FuzzUnpackTuples -fuzztime=5s ./internal/cluster
+
+echo "== fuzz (FuzzUnpackRelation, 5s) =="
+go test -run='^$' -fuzz=FuzzUnpackRelation -fuzztime=5s ./internal/cluster
 
 echo "== shuffle pipeline bench smoke (1 iteration per benchmark) =="
 go test -run='^$' -bench . -benchtime=1x ./internal/mapreduce
